@@ -5,8 +5,10 @@ Used by CI two ways:
 
 * ``compare_bench.py --self-check FRESH.json`` — validate one report:
   every bit-identity section present must be ``true`` (a routing /
-  equivalence / IR / QASM-round-trip / serve-vs-sequential / batched-kernel
-  / uniform-calibration mismatch is a correctness bug), every stored
+  equivalence / QASM-round-trip / serve-vs-sequential / batched-kernel
+  / uniform-calibration mismatch is a correctness bug), the shared-IR
+  pipeline must marshal between circuit and IR at most
+  :data:`MAX_IR_CONVERSIONS` times per compile, every stored
   ``speedup`` must equal the ratio of the two wall-time fields it was
   computed from (the drift guard: the harness computes each ratio exactly
   once, this check re-derives it), every fidelity row's ``improvement``
@@ -35,9 +37,12 @@ from typing import Any, Dict, List, Tuple
 
 #: Report sections whose ``bit_identical`` flag gates the build.
 BIT_IDENTITY_SECTIONS = (
-    "routing", "equivalence", "ir", "incr", "qasm", "serve", "chaos", "synth_batch",
+    "routing", "equivalence", "incr", "qasm", "serve", "chaos", "synth_batch",
     "fidelity",
 )
+
+#: Circuit<->IR conversions one compile may pay: in and out, once each.
+MAX_IR_CONVERSIONS = 2.0
 
 #: section -> (speedup field, numerator field, denominator field).  Each
 #: stored ratio must equal numerator/denominator from the same report — the
@@ -45,7 +50,6 @@ BIT_IDENTITY_SECTIONS = (
 #: check re-derives it, so the number can never drift from its operands.
 SPEEDUP_FIELDS = {
     "routing": ("speedup", "baseline_seconds", "fast_seconds"),
-    "ir": ("speedup", "legacy_seconds", "ir_seconds"),
     "incr": ("speedup", "from_scratch_seconds", "incremental_seconds"),
     "synth_batch": ("speedup", "scalar_seconds", "batch_seconds"),
 }
@@ -84,6 +88,14 @@ def self_check(report: Dict[str, Any], label: str) -> List[str]:
             failures.append(
                 f"{label}: {section}.{ratio_field} drifted: stored {stored!r} but "
                 f"{numerator_field}/{denominator_field} = {derived!r}"
+            )
+    ir_section = report.get("ir")
+    if ir_section is not None:
+        conversions = ir_section.get("conversions_per_compile")
+        if conversions is None or conversions > MAX_IR_CONVERSIONS:
+            failures.append(
+                f"{label}: ir.conversions_per_compile is {conversions!r}, "
+                f"more than {MAX_IR_CONVERSIONS:g} circuit<->IR conversions per compile"
             )
     # The chaos soak's verdict is stricter than bit identity alone: it also
     # fails on unrecovered jobs, hung clients and unscrubbed corruption.
@@ -160,11 +172,16 @@ def compare(
     if committed.get("quick") is False and fresh.get("quick") is True:
         failures.append("fresh report was produced in --quick mode; the nightly run must be full")
 
-    # Bit-identity sections that regressed relative to the committed report.
-    for section in BIT_IDENTITY_SECTIONS:
-        old = committed.get(section)
-        new = fresh.get(section)
-        if old is not None and old.get("bit_identical") is True and new is None:
+    # Gated sections that disappeared relative to the committed report.
+    gated = [
+        section
+        for section in BIT_IDENTITY_SECTIONS
+        if (committed.get(section) or {}).get("bit_identical") is True
+    ]
+    if committed.get("ir") is not None:
+        gated.append("ir")
+    for section in gated:
+        if fresh.get(section) is None:
             failures.append(f"{section}: section disappeared from the fresh report")
 
     advisories: List[str] = []

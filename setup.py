@@ -2,7 +2,8 @@
 
 Installs the ``repro`` package from ``src/`` and exposes the batch
 compilation CLI both as ``python -m repro`` and as the ``repro`` console
-script.  The package needs only numpy and scipy at runtime.
+script.  The package needs only numpy and scipy at runtime; the test suite
+also uses hypothesis and networkx (the ``test`` extra).
 
 The native SABRE-scoring kernel (``repro.kernels._sabre_native``) is built
 opportunistically: when a C compiler is available the extension compiles and
@@ -58,7 +59,7 @@ def _long_description() -> str:
 
 setup(
     name="repro-reqisc",
-    version="1.6.0",
+    version="2.0.0",
     description=(
         "Reproduction of the ReQISC reconfigurable SU(4) quantum ISA: the "
         "genAshN microarchitecture, the Regulus compiler with a first-class "
@@ -85,7 +86,7 @@ setup(
         "scipy>=1.7",
     ],
     extras_require={
-        "test": ["pytest"],
+        "test": ["pytest", "hypothesis", "networkx"],
     },
     entry_points={
         "console_scripts": [

@@ -17,9 +17,7 @@ The historical circuit-in/circuit-out signature keeps working in both
 directions: a legacy pass that only implements :meth:`CompilerPass.run` is a
 ``consumes = "circuit"`` pass, and an IR-native pass can still be called
 through :meth:`run` — the base class adapts by wrapping the circuit into a
-throwaway ``CircuitIR`` (this is also what
-``PassManager(force_circuit_boundaries=True)`` uses to reproduce the
-pre-refactor per-pass marshalling for benchmarking).
+throwaway ``CircuitIR``.
 """
 
 from __future__ import annotations
@@ -152,18 +150,10 @@ def _written_keys(before: Mapping[str, Any], after: Mapping[str, Any]) -> List[s
 
 @dataclass
 class PassManager:
-    """Run a sequence of passes, recording per-pass statistics.
-
-    ``force_circuit_boundaries`` reproduces the pre-IR behaviour — every pass
-    is driven through its circuit-level entry point, re-marshalling a flat
-    gate list at each boundary.  It exists for the ``repro perf`` ``ir``
-    benchmark family (conversion-count and wall-time comparison) and should
-    stay off otherwise.
-    """
+    """Run a sequence of passes, recording per-pass statistics."""
 
     passes: List[CompilerPass] = field(default_factory=list)
     records: List[PassRecord] = field(default_factory=list)
-    force_circuit_boundaries: bool = False
     #: Optional :class:`repro.incremental.PassMemoStore`.  When set, every
     #: memo-safe pass is keyed by the fingerprint of its full input program
     #: (plus its config and ``memo_context``) and replayed from the store on
@@ -215,10 +205,7 @@ class PassManager:
         records: List[PassRecord] = []
         current: Program = circuit
         for compiler_pass in self.passes:
-            if self.force_circuit_boundaries:
-                wants = "circuit"
-            else:
-                wants = getattr(compiler_pass, "consumes", "circuit")
+            wants = getattr(compiler_pass, "consumes", "circuit")
             current = _coerce(current, wants)
             gates_before, two_qubit_before, depth_before = _measure(current)
             snapshot = dict(properties.items())
@@ -250,13 +237,12 @@ class PassManager:
     def _memo_key(self, compiler_pass: CompilerPass, program: Program) -> Optional[str]:
         """Memo key for running ``compiler_pass`` on ``program``, or ``None``.
 
-        ``None`` means "do not memoize": the manager is in the
-        force-circuit-boundaries benchmarking mode, the pass has not declared
+        ``None`` means "do not memoize": the pass has not declared
         itself memo-safe, its configuration cannot be fingerprinted, or it
         changes representation (splicing would skip a conversion the
         from-scratch pipeline performs, breaking conversion-count parity).
         """
-        if self.memo is None or self.force_circuit_boundaries:
+        if self.memo is None:
             return None
         if not getattr(compiler_pass, "memo_safe", False):
             return None

@@ -1,7 +1,7 @@
 """Compilation results: the compiled circuit plus evaluation metadata.
 
-:class:`CompilationResult` is produced by :func:`repro.target.api.compile`
-(and by the deprecated compiler-class shims that delegate to it).  All of the
+:class:`CompilationResult` is produced by :func:`repro.target.api.compile`.
+All of the
 paper's headline metrics — #2Q, Depth2Q, the distinct-gate calibration proxy,
 the genAshN pulse duration and the inserted-SWAP routing overhead — are
 derived here, costed against the :class:`~repro.target.target.Target` the

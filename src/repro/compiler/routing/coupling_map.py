@@ -3,12 +3,37 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["CouplingMap"]
+
+
+def _qubit(value) -> int:
+    """An edge endpoint as a plain ``int``; ``ValueError`` for non-integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"coupling map endpoint {value!r} is not an integer")
+    return int(value)
+
+
+def _hexagonal_lattice(rows: int, columns: int) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """Sorted edges of the hexagonal lattice of ``rows x columns`` cells.
+
+    Nodes are ``(i, j)`` with column ``i`` in ``0..columns`` and row ``j`` in
+    ``0..2*rows+1``: every column is a path, neighbouring columns are joined
+    where ``i`` and ``j`` have equal parity, and the two corners left with a
+    single edge are dropped.  This is the node labelling and edge set of
+    ``networkx.hexagonal_lattice_graph(rows, columns)``.
+    """
+    if rows < 1 or columns < 1:
+        return []
+    height = 2 * rows + 2
+    edges = [((i, j), (i, j + 1)) for i in range(columns + 1) for j in range(height - 1)]
+    edges += [((i, j), (i + 1, j)) for i in range(columns) for j in range(height) if i % 2 == j % 2]
+    corners = {(0, 2 * rows + 1), (columns, (2 * rows + 1) * (columns % 2))}
+    return sorted(edge for edge in edges if edge[0] not in corners and edge[1] not in corners)
 
 
 class CouplingMap:
@@ -16,25 +41,39 @@ class CouplingMap:
 
     Provides the topologies used in the evaluation: 1D chains and 2D grids
     (Figure 12), plus all-to-all connectivity for logical-level comparisons.
+    Edges are stored once, as a sorted, de-duplicated list of ``(low, high)``
+    pairs; the constructor raises ``ValueError`` for a self-loop, a
+    non-integer endpoint or one outside ``[0, num_qubits)``.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int]], num_qubits: int = None, name: str = "custom") -> None:
-        self.graph = nx.Graph()
-        edges = [(int(a), int(b)) for a, b in edges]
+        pairs = [(_qubit(a), _qubit(b)) for a, b in edges]
         if num_qubits is None:
-            num_qubits = max((max(edge) for edge in edges), default=-1) + 1
+            num_qubits = max((max(pair) for pair in pairs), default=-1) + 1
         self.num_qubits = int(num_qubits)
-        self.graph.add_nodes_from(range(self.num_qubits))
-        self.graph.add_edges_from(edges)
+        for a, b in pairs:
+            if a == b:
+                raise ValueError(f"coupling map edge ({a}, {b}) is a self-loop")
+            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
+                raise ValueError(
+                    f"coupling map edge ({a}, {b}) has an endpoint outside "
+                    f"[0, {self.num_qubits})"
+                )
+        self._edge_tuples: List[Tuple[int, int]] = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+        neighbor_lists: List[List[int]] = [[] for _ in range(self.num_qubits)]
+        for a, b in self._edge_tuples:
+            neighbor_lists[a].append(b)
+            neighbor_lists[b].append(a)
+        for entries in neighbor_lists:
+            entries.sort()
+        self._neighbor_lists = neighbor_lists
         self.name = name
         # Lazily built, shared per map instance: every consumer (routing,
         # Target duration models, perf harness) sees the same arrays instead
         # of re-deriving them per call.
         self._distance: np.ndarray = None
         self._adjacency: np.ndarray = None
-        self._neighbor_lists: List[List[int]] = None
         self._neighbor_sets: List[frozenset] = None
-        self._edge_tuples: List[Tuple[int, int]] = None
         self._edge_array: np.ndarray = None
         self._incident_edge_ids: List[List[int]] = None
         self._incident_edge_csr: Tuple[np.ndarray, np.ndarray] = None
@@ -80,12 +119,12 @@ class CouplingMap:
         subdivided once, so qubits sit on both the vertices and the edges of
         the hexagons and the maximum degree is 3.
         """
-        lattice = nx.hexagonal_lattice_graph(rows, columns)
-        vertices = sorted(lattice.nodes())
+        lattice = _hexagonal_lattice(rows, columns)
+        vertices = sorted({node for edge in lattice for node in edge})
         index = {node: i for i, node in enumerate(vertices)}
         edges: List[Tuple[int, int]] = []
         next_qubit = len(vertices)
-        for u, v in sorted(tuple(sorted(edge)) for edge in lattice.edges()):
+        for u, v in lattice:
             midpoint = next_qubit
             next_qubit += 1
             edges.append((index[u], midpoint))
@@ -123,18 +162,18 @@ class CouplingMap:
     # -- queries ---------------------------------------------------------------
     @property
     def edges(self) -> List[Tuple[int, int]]:
-        """List of undirected edges."""
-        return [tuple(sorted(edge)) for edge in self.graph.edges]
+        """Sorted list of undirected ``(low, high)`` edges (same list as :meth:`edge_tuples`)."""
+        return self._edge_tuples
 
     def is_connected(self, qubit_a: int, qubit_b: int) -> bool:
         """True when the two physical qubits are adjacent."""
-        return self.graph.has_edge(qubit_a, qubit_b)
+        return 0 <= qubit_a < self.num_qubits and qubit_b in self.neighbor_sets()[qubit_a]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency matrix (cached, read-only)."""
         if self._adjacency is None:
             matrix = np.zeros((self.num_qubits, self.num_qubits), dtype=bool)
-            for a, b in self.graph.edges:
+            for a, b in self._edge_tuples:
                 matrix[a, b] = True
                 matrix[b, a] = True
             matrix.setflags(write=False)
@@ -142,30 +181,16 @@ class CouplingMap:
         return self._adjacency
 
     def neighbor_lists(self) -> List[List[int]]:
-        """Sorted neighbour list per physical qubit (cached).
-
-        ``neighbor_lists()[q]`` equals ``neighbors(q)``; the precomputed form
-        avoids a networkx adjacency walk + sort per hot-path query.
-        """
-        if self._neighbor_lists is None:
-            lists: List[List[int]] = [[] for _ in range(self.num_qubits)]
-            for a, b in self.graph.edges:
-                lists[a].append(b)
-                lists[b].append(a)
-            for entries in lists:
-                entries.sort()
-            self._neighbor_lists = lists
+        """Sorted neighbour list per physical qubit; ``neighbor_lists()[q]`` equals ``neighbors(q)``."""
         return self._neighbor_lists
 
     def edge_tuples(self) -> List[Tuple[int, int]]:
-        """Sorted list of undirected edges as ``(low, high)`` tuples (cached).
+        """Sorted list of undirected edges as ``(low, high)`` tuples.
 
         The position of an edge in this list is its *edge id*; ids are
         assigned in lexicographic edge order, so a sorted list of ids maps
         back to a lexicographically sorted list of edges.
         """
-        if self._edge_tuples is None:
-            self._edge_tuples = sorted(tuple(sorted(edge)) for edge in self.graph.edges)
         return self._edge_tuples
 
     def edge_array(self) -> np.ndarray:

@@ -16,10 +16,10 @@ measurement methodology of the systems papers this repo tracks:
   the baseline, and the equivalence sweep re-checks that over the whole
   workload suite.
 
-Report schema (``schema = "repro-perf/8"``)::
+Report schema (``schema = "repro-perf/9"``)::
 
     {
-      "schema": "repro-perf/8",
+      "schema": "repro-perf/9",
       "created_unix": <float>,            # seconds since epoch
       "quick": <bool>,                    # quick mode (CI smoke) or full
       "seed": <int>,
@@ -38,13 +38,11 @@ Report schema (``schema = "repro-perf/8"``)::
       "equivalence": {                    # suite-wide fast==reference check
         "scale": str, "cases": int, "bit_identical": bool,
         "mismatches": [str, ...]},
-      "ir": {                             # shared-IR vs legacy marshalling
+      "ir": {                             # shared-IR marshalling cost
         "compiler": str, "scale": str, "cases": int,
-        "conversions_per_compile": float,         # circuit<->IR marshals, IR path
-        "legacy_conversions_per_compile": float,  # same, with per-pass boundaries
+        "conversions_per_compile": float,         # circuit<->IR marshals (<= 2)
         "dag_builds_per_compile": float,
-        "ir_seconds": float, "legacy_seconds": float,
-        "speedup": float, "bit_identical": bool},
+        "ir_seconds": float},                     # best pipeline sweep
       "qasm": {                           # QASM interchange round trip
         "scale": str, "cases": int, "gates": int,
         "dump_seconds": float, "load_seconds": float,
@@ -160,7 +158,7 @@ __all__ = [
     "write_report",
 ]
 
-SCHEMA_VERSION = "repro-perf/8"
+SCHEMA_VERSION = "repro-perf/9"
 
 #: Workload categories exercised by the compile benchmark (a representative
 #: slice; the full suite is covered by the equivalence sweep).
@@ -384,25 +382,20 @@ def bench_ir(
     repeats: int = 1,
     categories: Optional[Sequence[str]] = None,
 ) -> Tuple[List[PerfRecord], Dict[str, Any]]:
-    """Shared-IR pipeline vs per-pass circuit marshalling (the PR-4 metric).
+    """Circuit<->IR marshalling cost of the shared-IR pipeline.
 
-    Runs the same pipeline twice over a workload slice routed on per-circuit
-    ``xy-line`` targets:
-
-    * **ir** — the normal :class:`~repro.compiler.passes.base.PassManager`
-      path, converting between circuit and :class:`~repro.ir.CircuitIR` at
-      most once per representation change (two conversions per compile for
-      the ReQISC pipelines);
-    * **legacy** — ``force_circuit_boundaries=True``, reproducing the
-      pre-refactor behaviour of re-marshalling a flat gate list at every
-      pass boundary.
-
-    Both paths must be bit-identical; the returned ``ir`` report section
-    carries the conversion counts (measured via
-    :func:`repro.ir.conversion_stats`), the wall-time comparison and the
-    equivalence verdict.  A third record times the raw circuit<->IR
-    round-trip on a large random circuit.
+    Runs the pipeline over a workload slice routed on per-circuit
+    ``xy-line`` targets through the normal
+    :class:`~repro.compiler.passes.base.PassManager`, which converts between
+    circuit and :class:`~repro.ir.CircuitIR` at most once per representation
+    change (two conversions per compile for the ReQISC pipelines).  The
+    returned ``ir`` report section carries the conversion and dependency-
+    graph build counts (measured via :func:`repro.ir.conversion_stats`);
+    ``compare_bench.py --self-check`` fails a report whose
+    ``conversions_per_compile`` exceeds two.  A second record times the raw
+    circuit<->IR round-trip on a large random circuit.
     """
+    from repro.compiler.passes.base import PassManager
     from repro.ir import CircuitIR, conversion_stats, reset_conversion_stats
     from repro.target.pipeline import PASS_REGISTRY, PassContext, named_pipeline
     from repro.target.properties import PropertySet
@@ -413,38 +406,29 @@ def bench_ir(
     spec = named_pipeline(compiler)
     input_gates = sum(len(case.circuit) for case in cases)
 
-    def run_all(force_circuit_boundaries: bool) -> List[QuantumCircuit]:
-        from repro.compiler.passes.base import PassManager
-
-        compiled: List[QuantumCircuit] = []
+    def run_all() -> None:
         for case in cases:
             target = resolve_target("xy-line", num_qubits=case.circuit.num_qubits)
             context = PassContext(target=target, seed=seed)
-            manager = PassManager(force_circuit_boundaries=force_circuit_boundaries)
+            manager = PassManager()
             for stage in spec.stages:
                 if stage.requires_topology and target.coupling_map is None:
                     continue
                 manager.append(PASS_REGISTRY.create(stage, context))
             properties = PropertySet()
             properties["isa"] = spec.isa
-            compiled.append(manager.run(case.circuit, properties))
-        return compiled
+            manager.run(case.circuit, properties)
 
     repeats = max(1, repeats)
-    run_all(False)  # warm the matrix/KAK pools so neither path pays cold-start
+    run_all()  # warm the matrix/KAK pools so the timing skips cold-start
     reset_conversion_stats()
-    ir_best, ir_mean, ir_outputs = _time(lambda: run_all(False), repeats)
-    ir_stats = conversion_stats()
-    reset_conversion_stats()
-    legacy_best, legacy_mean, legacy_outputs = _time(lambda: run_all(True), repeats)
-    legacy_stats = conversion_stats()
+    ir_best, ir_mean, _ = _time(run_all, repeats)
+    stats = conversion_stats()
     reset_conversion_stats()
 
     compiles = len(cases) * repeats
-    per_compile = lambda stats: (stats["from_circuit"] + stats["to_circuit"]) / compiles  # noqa: E731
-    bit_identical = all(
-        circuits_bit_identical(a, b) for a, b in zip(ir_outputs, legacy_outputs)
-    )
+    conversions = (stats["from_circuit"] + stats["to_circuit"]) / compiles
+    dag_builds = stats["dag_builds"] / compiles
 
     records = [
         PerfRecord(
@@ -457,24 +441,8 @@ def bench_ir(
             extra={
                 "compiler": compiler,
                 "scale": scale,
-                "boundaries": "shared-ir",
-                "conversions_per_compile": per_compile(ir_stats),
-                "dag_builds_per_compile": ir_stats["dag_builds"] / compiles,
-            },
-        ),
-        PerfRecord(
-            name=f"ir.pipeline.{compiler}.{scale}.legacy",
-            kind="ir",
-            repeats=repeats,
-            wall_seconds=legacy_best,
-            mean_seconds=legacy_mean,
-            gates=input_gates,
-            extra={
-                "compiler": compiler,
-                "scale": scale,
-                "boundaries": "per-pass-circuit",
-                "conversions_per_compile": per_compile(legacy_stats),
-                "dag_builds_per_compile": legacy_stats["dag_builds"] / compiles,
+                "conversions_per_compile": conversions,
+                "dag_builds_per_compile": dag_builds,
             },
         ),
     ]
@@ -501,13 +469,9 @@ def bench_ir(
         "compiler": compiler,
         "scale": scale,
         "cases": len(cases),
-        "conversions_per_compile": per_compile(ir_stats),
-        "legacy_conversions_per_compile": per_compile(legacy_stats),
-        "dag_builds_per_compile": ir_stats["dag_builds"] / compiles,
+        "conversions_per_compile": conversions,
+        "dag_builds_per_compile": dag_builds,
         "ir_seconds": ir_best,
-        "legacy_seconds": legacy_best,
-        "speedup": speedup_ratio(legacy_best, ir_best),
-        "bit_identical": bit_identical,
     }
     return records, section
 
@@ -1402,8 +1366,6 @@ def run_perf(
         )
         records.extend(incr_records)
     if "ir" in selected:
-        # Best-of-5 in full mode: the marshalling delta is only a few
-        # percent of a compile, so the minimum needs more samples to settle.
         ir_records, ir_section = bench_ir(
             scale="tiny", seed=seed, repeats=1 if quick else max(5, repeats)
         )

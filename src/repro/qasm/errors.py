@@ -1,9 +1,7 @@
 """The :class:`QasmError` exception.
 
-Subclasses :class:`ValueError` so callers that used the pre-package
-``repro.circuits.qasm`` helpers (which raised plain ``ValueError``) keep
-working, while new code can catch ``QasmError`` and read the structured
-``line``/``column`` attributes.
+Subclasses :class:`ValueError`, so callers may catch either; ``QasmError``
+carries the structured ``line``/``column`` attributes.
 """
 
 from __future__ import annotations

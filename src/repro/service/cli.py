@@ -1182,8 +1182,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     else:
         print(
             "compacted {cache_dir}: {entries} live entries kept, "
-            "{segments_removed} segment file(s) removed, "
-            "{legacy_removed} legacy file(s) removed".format(**payload)
+            "{segments_removed} segment file(s) removed".format(**payload)
         )
     return 0
 
@@ -1342,10 +1341,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         ir_section = report.get("ir")
         if ir_section:
             print(
-                "ir: {conversions_per_compile:.1f} circuit<->IR conversions per "
-                "compile (legacy {legacy_conversions_per_compile:.1f}), "
-                "{speedup:.2f}x over per-pass marshalling, "
-                "bit_identical={bit_identical}".format(**ir_section)
+                "ir: {conversions_per_compile:.1f} circuit<->IR conversions and "
+                "{dag_builds_per_compile:.1f} dependency-graph builds per compile "
+                "({cases} programs, {ir_seconds:.3f}s)".format(**ir_section)
             )
         synth_batch = report.get("synth_batch")
         if synth_batch:

@@ -1,7 +1,7 @@
 """The shared ``compile()`` entry point of the whole compiler stack.
 
-Every way of compiling a circuit — the deprecated compiler classes, the
-experiment harness registry, the batch service and the CLI — funnels through
+Every way of compiling a circuit — the experiment harness registry, the
+batch service and the CLI — funnels through
 :func:`compile`, parameterized by a :class:`~repro.target.target.Target` and
 a :class:`~repro.target.pipeline.PipelineSpec`::
 
@@ -157,10 +157,9 @@ def compile(
 class PipelineCompiler:
     """A pipeline spec bound to a target — the new-API compiler handle.
 
-    Exposes the historical ``.name`` / ``.compile(circuit)`` interface, so
-    registries (``build_compilers``), the batch service and the experiment
-    harness can hold ready-to-run compilers without touching the deprecated
-    classes.  ``target`` may be a concrete :class:`Target`, a preset name
+    Exposes a ``.name`` / ``.compile(circuit)`` interface, so registries
+    (``build_compilers``), the batch service and the experiment harness can
+    hold ready-to-run compilers.  ``target`` may be a concrete :class:`Target`, a preset name
     resolved per circuit, or ``None`` for the default device.
     """
 

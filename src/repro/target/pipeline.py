@@ -4,9 +4,9 @@ A :class:`PipelineSpec` is a named, ordered list of ``(pass_id, config)``
 stages — pure data, buildable from dicts/JSON — and :data:`PASS_REGISTRY`
 maps each pass id to a factory that instantiates the concrete
 :class:`~repro.compiler.passes.base.CompilerPass` for a given
-:class:`PassContext` (target + seed + synthesis cache).  The previous
-compiler classes (``ReQISCCompiler`` and the baselines) are now thin named
-specs over this machinery; see :func:`named_pipeline`.
+:class:`PassContext` (target + seed + synthesis cache).  The ReQISC
+pipelines and the baselines are named specs over this machinery; see
+:func:`named_pipeline`.
 
 Stage configs may hold arbitrary Python objects (e.g. a pre-built
 ``ApproximateSynthesizer``) for programmatic use; specs built from the named

@@ -145,7 +145,7 @@ class Target:
         coupling_map: Optional[CouplingMap] = None,
         isa: str = "su4",
     ) -> "Target":
-        """Target from the legacy ``(coupling, coupling_map)`` kwargs pair."""
+        """Target from a coupling Hamiltonian and a topology (XY and none by default)."""
         return cls(
             coupling=coupling or CouplingHamiltonian.xy(1.0),
             coupling_map=coupling_map,

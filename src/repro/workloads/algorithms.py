@@ -8,9 +8,9 @@ pipeline ingests after high-level Pauli-level optimization.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+import random
+from typing import List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
@@ -76,6 +76,64 @@ def grover_circuit(num_qubits: int = 4, iterations: int = 1, marked: int = None)
     return circuit
 
 
+def random_regular_edges(degree: int, num_nodes: int, seed: int) -> List[Tuple[int, int]]:
+    """Sorted ``(low, high)`` edges of a random ``degree``-regular graph.
+
+    Steger-Wormald stub pairing, drawing from ``random.Random(seed)`` in the
+    same order as ``networkx.random_regular_graph(degree, num_nodes, seed)``,
+    so a seed yields the same graph as that generator.
+    """
+    if (num_nodes * degree) % 2:
+        raise ValueError("num_nodes * degree must be even")
+    if not 0 <= degree < num_nodes:
+        raise ValueError("the 0 <= degree < num_nodes inequality must be satisfied")
+    if degree == 0:
+        return []
+    rng = random.Random(seed)
+
+    def suitable(edges: Set[Tuple[int, int]], leftover: dict) -> bool:
+        # The reference scan reorders the outer loop variable inside the inner
+        # loop, which changes which pairs it visits; kept as-is so the retry
+        # decisions, and with them the random stream, match exactly.
+        if not leftover:
+            return True
+        for s1 in leftover:
+            for s2 in leftover:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation() -> Optional[Set[Tuple[int, int]]]:
+        edges: Set[Tuple[int, int]] = set()
+        stubs = list(range(num_nodes)) * degree
+        while stubs:
+            # Stubs that could not be paired this round, in first-seen order.
+            leftover = {}
+            rng.shuffle(stubs)
+            pairs = iter(stubs)
+            for s1, s2 in zip(pairs, pairs):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    leftover[s1] = leftover.get(s1, 0) + 1
+                    leftover[s2] = leftover.get(s2, 0) + 1
+            if not suitable(edges, leftover):
+                return None  # no pair of leftover stubs can still be joined
+            stubs = [node for node, count in leftover.items() for _ in range(count)]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return sorted(edges)
+
+
 def qaoa_maxcut(
     num_qubits: int = 6,
     layers: int = 2,
@@ -87,7 +145,7 @@ def qaoa_maxcut(
     degree = min(degree, num_qubits - 1)
     if (num_qubits * degree) % 2:
         degree -= 1
-    graph = nx.random_regular_graph(max(degree, 1), num_qubits, seed=seed)
+    edges = random_regular_edges(max(degree, 1), num_qubits, seed)
     rng = np.random.default_rng(seed)
     circuit = QuantumCircuit(num_qubits, f"qaoa_{num_qubits}")
     for qubit in range(num_qubits):
@@ -97,8 +155,8 @@ def qaoa_maxcut(
             gamma, beta = parameters[layer]
         else:
             gamma, beta = rng.uniform(0.1, 1.0, size=2)
-        for a, b in sorted(graph.edges):
-            circuit.rzz(2.0 * gamma, int(a), int(b))
+        for a, b in edges:
+            circuit.rzz(2.0 * gamma, a, b)
         for qubit in range(num_qubits):
             circuit.rx(2.0 * beta, qubit)
     return circuit

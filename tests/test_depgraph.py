@@ -6,7 +6,6 @@ import pytest
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import circuit_to_dag, dag_to_circuit, front_layer, layers
 from repro.circuits.depgraph import DependencyGraph
 from repro.perf.harness import random_two_qubit_circuit
 
@@ -75,13 +74,12 @@ def test_depgraph_topological_layers_match_peeling(seed):
 
 def test_circuit_to_dag_is_depgraph_view():
     circuit = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2).cx(0, 1)
-    with pytest.deprecated_call():
-        dag = circuit_to_dag(circuit)
     graph = DependencyGraph.from_circuit(circuit)
+    dag = graph.to_networkx()
     assert dag.graph["num_qubits"] == 3
     assert set(dag.edges()) == set(graph.edges())
-    assert front_layer(dag) == graph.front_layer() == [0]
-    rebuilt = dag_to_circuit(dag)
+    assert [n for n in dag.nodes if dag.in_degree(n) == 0] == graph.front_layer() == [0]
+    rebuilt = [dag.nodes[n]["instruction"] for n in nx.lexicographical_topological_sort(dag)]
     assert [i.gate.name for i in rebuilt] == [i.gate.name for i in circuit]
     assert [i.qubits for i in rebuilt] == [i.qubits for i in circuit]
 
@@ -117,6 +115,6 @@ def test_layers_match_greedy_qubit_frontier():
             expected[level].append(instruction)
             for qubit in instruction.qubits:
                 frontier[qubit] = level + 1
-        with pytest.deprecated_call():
-            layering = layers(circuit)
+        graph = DependencyGraph.from_circuit(circuit)
+        layering = [[graph.instruction(node) for node in layer] for layer in graph.topological_layers()]
         assert layering == expected

@@ -317,20 +317,6 @@ def test_pass_manager_accepts_prebuilt_ir():
     assert bit_identical(via_ir_input, manager.run(lowered))
 
 
-def test_force_circuit_boundaries_is_bit_identical():
-    from repro.compiler.passes.decompose import decompose_to_cnot
-
-    lowered = decompose_to_cnot(random_standard_circuit(4, 30, seed=2))
-    passes = [PeepholeOptimizationPass(consolidate=False), Fuse2QBlocksPass()]
-    shared = PassManager(list(passes)).run(lowered)
-    reset_conversion_stats()
-    forced = PassManager(list(passes), force_circuit_boundaries=True).run(lowered)
-    stats = conversion_stats()
-    assert bit_identical(shared, forced)
-    # Legacy mode pays one circuit<->IR round-trip per IR-native pass.
-    assert stats["from_circuit"] == 2 and stats["to_circuit"] == 2
-
-
 def test_pass_records_carry_depth_and_written_properties():
     from repro.target.api import compile as compile_circuit
 

@@ -36,12 +36,7 @@ def report():
             "fast_seconds": 0.25,
         },
         "equivalence": {"bit_identical": True},
-        "ir": {
-            "bit_identical": True,
-            "speedup": 1.0,
-            "legacy_seconds": 0.1,
-            "ir_seconds": 0.1,
-        },
+        "ir": {"conversions_per_compile": 2.0, "dag_builds_per_compile": 1.0},
         "qasm": {"bit_identical": True, "mismatches": []},
         "serve": {"bit_identical": True, "mismatches": []},
         "synth_batch": {
@@ -76,6 +71,16 @@ def test_self_check_fails_on_missing_speedup_operands(compare_bench, report):
     del report["synth_batch"]["scalar_seconds"]
     failures = compare_bench.self_check(report, "x")
     assert any("synth_batch is missing" in f for f in failures)
+
+
+def test_self_check_fails_on_extra_ir_conversions(compare_bench, report):
+    # The shared IR converts in and out once per compile; a third conversion
+    # means a pass boundary started re-marshalling the program.
+    report["ir"]["conversions_per_compile"] = 3.0
+    failures = compare_bench.self_check(report, "x")
+    assert any("ir.conversions_per_compile" in f for f in failures)
+    del report["ir"]["conversions_per_compile"]
+    assert any("ir.conversions_per_compile" in f for f in compare_bench.self_check(report, "x"))
 
 
 def test_compare_identical_reports_pass(compare_bench, report):

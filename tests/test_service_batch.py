@@ -86,21 +86,21 @@ def test_batch_summaries_carry_headline_metrics():
 
 def test_summary_duration_is_isa_aware():
     from repro.circuits.metrics import circuit_duration, cnot_isa_duration_model
-    from repro.compiler.baselines import CnotBaselineCompiler
-    from repro.compiler.reqisc import ReQISCCompiler
     from repro.microarch.durations import su4_duration_model
     from repro.microarch.hamiltonian import CouplingHamiltonian
+    from repro.target.api import compile
+    from repro.target.target import Target
 
     circuit = QuantumCircuit(3, "isa_check")
     circuit.h(0)
     circuit.ccx(0, 1, 2)
 
-    cnot = CnotBaselineCompiler(name="qiskit-like").compile(circuit)
+    cnot = compile(circuit, target=Target.from_device(isa="cnot"), spec="qiskit-like")
     assert cnot.properties["isa"] == "cnot"
     expected = circuit_duration(cnot.circuit, cnot_isa_duration_model())
     assert cnot.summary()["duration"] == pytest.approx(expected)
 
-    su4 = ReQISCCompiler(mode="eff").compile(circuit)
+    su4 = compile(circuit, spec="reqisc-eff")
     assert su4.properties["isa"] == "su4"
     coupling = CouplingHamiltonian.xy(1.0)
     expected = circuit_duration(su4.circuit, su4_duration_model(coupling))

@@ -260,27 +260,31 @@ def test_compaction_folds_segments_and_preserves_entries(tmp_path):
         assert fresh.get(f"key-{i}") == i * i
 
 
-def test_legacy_per_entry_files_are_readable_and_compacted(tmp_path):
+def test_stray_per_entry_pickle_is_ignored(tmp_path):
     import os
     import pickle
 
-    # Simulate a cache directory written by the pre-segment layout.
+    # A file in the retired one-pickle-per-entry layout is not part of the
+    # store: it reads as a miss, and maintenance leaves it where it is.
     directory = str(tmp_path / "store")
     key = "abcdef0123456789"
-    legacy_path = os.path.join(directory, key[:2], f"{key}.pkl")
-    os.makedirs(os.path.dirname(legacy_path))
-    with open(legacy_path, "wb") as handle:
-        pickle.dump({"legacy": True}, handle)
+    stray_path = os.path.join(directory, key[:2], f"{key}.pkl")
+    os.makedirs(os.path.dirname(stray_path))
+    with open(stray_path, "wb") as handle:
+        pickle.dump({"stray": True}, handle)
 
     reader = SynthesisCache(directory=directory)
-    assert reader.get(key) == {"legacy": True}
-    assert key in reader
+    assert reader.get(key) is None
+    assert key not in reader
+    assert reader.stats.misses == 1
 
-    outcome = reader.compact()
-    assert outcome["legacy_removed"] == 1
-    assert not os.path.exists(legacy_path)
+    reader.put("k1", "v1")
+    assert reader.compact() == {"entries": 1, "segments_removed": 1}
+    reader.scrub()
+    assert os.path.exists(stray_path)
     fresh = SynthesisCache(directory=directory)
-    assert fresh.get(key) == {"legacy": True}
+    assert fresh.get(key) is None
+    assert fresh.get("k1") == "v1"
 
 
 def test_cache_stats_snapshot_and_delta():

@@ -335,3 +335,51 @@ def test_submit_maps_daemon_error_to_structured_exit_code(tmp_path, capsys):
     assert code == EXIT_CODES["bad-request"]
     report = json.loads(out)
     assert report["errors"][0][2] == "bad-request"
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [([[0, 7]], "outside"), ([[-1, 1]], "outside"), ([[1, 1]], "self-loop"), ([[0, 0.5]], "integer")],
+)
+def test_compile_rejects_malformed_target_coupling_map(tmp_path, edges, message):
+    from repro.target.target import Target
+
+    payload = Target.xy_line(3).to_dict()
+    payload["coupling_map"]["edges"] = edges
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["compile", "--workload", "qft", "--scale", "tiny", "--no-cache", "--target", str(path)]
+    with pytest.raises(SystemExit, match=f"invalid --target .*{message}"):
+        main(argv)
+
+
+def test_runtime_commands_run_without_networkx(tmp_path):
+    # The package declares numpy and scipy only; every runtime path must work
+    # with networkx unimportable, even when the test environment has it.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    bell = os.path.join(os.path.dirname(__file__), "..", "examples", "bell.qasm")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from repro.service.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    for argv in (
+        ["targets"],
+        ["list", "--json"],
+        ["compile", "--workload", "qft", "--scale", "tiny", "--no-cache", "--json"],
+        ["compile", os.path.abspath(bell), "--emit", "qasm", "--no-cache"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=str(tmp_path),
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, (argv, result.stderr)

@@ -49,12 +49,6 @@ def _circuits_identical(first, second):
     return True
 
 
-def _summary_without_wall_clock(result):
-    summary = result.summary()
-    summary.pop("compile_seconds")
-    return summary
-
-
 # ---------------------------------------------------------------------------
 # Target construction, presets and serialization.
 # ---------------------------------------------------------------------------
@@ -75,7 +69,7 @@ def test_target_heavy_hex_topology():
     lattice = target.coupling_map
     # One hexagonal cell: 6 vertices + 6 edge qubits, max degree 3.
     assert lattice.num_qubits == 12
-    assert max(dict(lattice.graph.degree).values()) <= 3
+    assert max(len(neighbors) for neighbors in lattice.neighbor_lists()) <= 3
     assert all(lattice.distance(0, q) < np.inf for q in range(lattice.num_qubits))
 
 
@@ -283,12 +277,16 @@ def test_spec_from_dict_compiles_like_the_named_pipeline():
 
 
 def test_build_compilers_rejects_target_and_coupling_map_together():
+    # target= is the one way to give a device; the coupling_map= kwarg is gone.
     from repro.experiments.common import build_compilers
 
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         build_compilers(
             ["reqisc-eff"], coupling_map=CouplingMap.line(4), target=Target.xy_line(4)
         )
+    routed = build_compilers(["reqisc-eff"], target=Target.from_device(coupling_map=CouplingMap.line(4)))
+    result = routed["reqisc-eff"].compile(_toffoli_workload())
+    assert result.routing_overhead is not None
 
 
 def test_pass_registry_rejects_unknown_pass():
@@ -309,70 +307,6 @@ def test_topology_stages_skipped_on_logical_target():
     assert routed.properties.final_layout is not None
 
 
-# ---------------------------------------------------------------------------
-# Deprecated shims compile bit-identically through the new entry point.
-# ---------------------------------------------------------------------------
-
-
-def test_reqisc_shim_matches_target_compile():
-    from repro.compiler.reqisc import ReQISCCompiler
-
-    circuit = _toffoli_workload()
-    target = Target.xy_line(4)
-    modern = target_compile(circuit, target=target, spec="reqisc-full", seed=0)
-    with pytest.warns(DeprecationWarning):
-        legacy = ReQISCCompiler(
-            mode="full", coupling_map=CouplingMap.line(4), seed=0
-        )
-    legacy_result = legacy.compile(circuit)
-    assert _circuits_identical(modern.circuit, legacy_result.circuit)
-    assert _summary_without_wall_clock(modern) == _summary_without_wall_clock(legacy_result)
-    assert modern.properties["final_layout"] == legacy_result.properties["final_layout"]
-
-
-def test_cnot_baseline_shim_matches_target_compile():
-    from repro.compiler.baselines import CnotBaselineCompiler
-
-    circuit = _toffoli_workload()
-    target = Target.from_device(coupling_map=CouplingMap.line(4), isa="cnot")
-    modern = target_compile(circuit, target=target, spec="qiskit-like", seed=0)
-    with pytest.warns(DeprecationWarning):
-        legacy = CnotBaselineCompiler(name="qiskit-like", coupling_map=CouplingMap.line(4))
-    legacy_result = legacy.compile(circuit)
-    assert _circuits_identical(modern.circuit, legacy_result.circuit)
-    assert _summary_without_wall_clock(modern) == _summary_without_wall_clock(legacy_result)
-
-
-def test_su4_fusion_shim_matches_target_compile():
-    from repro.compiler.baselines import Su4FusionBaselineCompiler
-
-    circuit = _toffoli_workload()
-    modern = target_compile(circuit, spec="qiskit-su4", seed=0)
-    with pytest.warns(DeprecationWarning):
-        legacy = Su4FusionBaselineCompiler(variant="qiskit-su4")
-    legacy_result = legacy.compile(circuit)
-    assert _circuits_identical(modern.circuit, legacy_result.circuit)
-    assert _summary_without_wall_clock(modern) == _summary_without_wall_clock(legacy_result)
-
-
-def test_reqisc_shim_prices_durations_with_its_own_coupling():
-    # Deliberate v1.2 metric fix: the old implementation stored ``coupling=``
-    # but silently priced summaries with the default XY model.
-    from repro.compiler.reqisc import ReQISCCompiler
-
-    circuit = _toffoli_workload()
-    coupling = CouplingHamiltonian.heisenberg(1.0)
-    with pytest.warns(DeprecationWarning):
-        legacy = ReQISCCompiler(mode="eff", coupling=coupling)
-    legacy_result = legacy.compile(circuit)
-    modern = target_compile(circuit, target=Target(coupling=coupling), spec="reqisc-eff")
-    assert _summary_without_wall_clock(legacy_result) == _summary_without_wall_clock(modern)
-    xy_result = target_compile(circuit, spec="reqisc-eff")
-    assert legacy_result.summary()["duration"] != pytest.approx(
-        xy_result.summary()["duration"]
-    )
-
-
 def test_summary_reports_target_name():
     circuit = _toffoli_workload()
     result = target_compile(circuit, target="heavy-hex", spec="reqisc-eff")
@@ -387,6 +321,9 @@ def test_legacy_duration_signature_still_accepts_coupling():
     assert result.duration(coupling) == pytest.approx(result.duration())
     heisenberg = CouplingHamiltonian.heisenberg(1.0)
     assert result.duration(heisenberg) != pytest.approx(result.duration())
+    # A result prices its summary with its own target's coupling.
+    priced = target_compile(circuit, target=Target(coupling=heisenberg), spec="reqisc-eff")
+    assert priced.summary()["duration"] == pytest.approx(result.duration(heisenberg))
 
 
 # ---------------------------------------------------------------------------
